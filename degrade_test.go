@@ -120,13 +120,16 @@ func TestMixedBatchFailureModes(t *testing.T) {
 	big := mustParse(t, fw, figure1a) // > 5 nodes: cannot fit next to the blocker
 
 	// The blocker occupies 95 of the gate's 100 node slots for the whole
-	// batch, parked inside its BeforeTree hook.
+	// batch, parked inside its BeforeTree hook. BeforeTree fires after
+	// admission, so parked closing means the blocker holds its slots.
 	blocker := deepChain(94)
 	hold := make(chan struct{})
+	parked := make(chan struct{})
 	blockerDone := make(chan struct{})
 	restore := core.SetTestHooks(core.TestHooks{BeforeTree: func(tr *xsdf.Tree) {
 		switch tr {
 		case blocker:
+			close(parked)
 			<-hold
 		case panicky:
 			panic("poisoned document")
@@ -140,7 +143,16 @@ func TestMixedBatchFailureModes(t *testing.T) {
 		fw.DisambiguateTree(blocker)
 	}()
 	defer func() { close(hold); <-blockerDone }()
-	// Wait until the blocker holds its slots (its weight blocks big docs).
+	// Probe only once the blocker holds its slots: a probe admitted first
+	// would shed the blocker, which then never parks.
+	select {
+	case <-parked:
+	case <-blockerDone:
+		t.Fatal("blocker finished without parking in its hook")
+	case <-time.After(10 * time.Second):
+		t.Fatal("blocker did not park in its hook within 10s")
+	}
+	// The blocker's weight blocks big docs.
 	for {
 		if _, err := fw.DisambiguateTree(mustParse(t, fw, figure1b)); errors.Is(err, xsdf.ErrOverloaded) {
 			break
