@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/disambig"
 	"repro/internal/wordnet"
 )
 
@@ -56,10 +57,14 @@ func TestFrameworkSharedAcrossGoroutines(t *testing.T) {
 }
 
 // TestCacheStatsWarmReprocessing checks the framework-level observability
-// hook: reprocessing documents with repeated vocabulary must hit the
-// shared cache, and the hit counters must say so.
+// hook: reprocessing identical documents must be served from the shared
+// memos, and the counters must say so. Warm concept scoring ends in the
+// max memo, so the warm pass adds max-memo hits and no miss at any layer
+// (similarity, vector, max). Combined scoring exercises all three.
 func TestCacheStatsWarmReprocessing(t *testing.T) {
-	fw, err := New(wordnet.Default(), DefaultOptions())
+	opts := DefaultOptions()
+	opts.Disambiguation.Method = disambig.Combined
+	fw, err := New(wordnet.Default(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,19 +72,19 @@ func TestCacheStatsWarmReprocessing(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := fw.CacheStats()
-	if cold.SimMisses == 0 {
-		t.Fatal("first pass should miss the sim cache")
+	if cold.SimMisses == 0 || cold.VectorMisses == 0 || cold.MaxMisses == 0 {
+		t.Fatalf("first pass should miss every memo: %+v", cold)
 	}
 	if _, err := fw.ProcessTrees(corpusTrees(t, 6), 3); err != nil {
 		t.Fatal(err)
 	}
 	warm := fw.CacheStats()
-	if warm.SimHits <= cold.SimHits {
-		t.Error("reprocessing identical vocabulary should add sim-cache hits")
+	if warm.MaxHits <= cold.MaxHits {
+		t.Error("reprocessing identical vocabulary should add max-memo hits")
 	}
-	if warm.SimMisses != cold.SimMisses {
-		t.Errorf("reprocessing identical documents should add no sim misses: %d -> %d",
-			cold.SimMisses, warm.SimMisses)
+	if warm.SimMisses != cold.SimMisses || warm.VectorMisses != cold.VectorMisses ||
+		warm.MaxMisses != cold.MaxMisses {
+		t.Errorf("reprocessing identical documents should add no misses: cold %+v, warm %+v", cold, warm)
 	}
 	t.Logf("cold %+v warm %+v", cold, warm)
 }

@@ -2,8 +2,8 @@ package disambig
 
 import (
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/memo"
 	"repro/internal/semnet"
 	"repro/internal/simmeasure"
 	"repro/internal/sphere"
@@ -12,43 +12,30 @@ import (
 // Cache is the shared, concurrency-safe memoization layer of the semantic
 // hot path. One Cache is owned by a core.Framework and shared by every
 // disambiguator the framework creates — all batch workers and all
-// intra-document node workers hit the same pairwise-similarity and
-// concept-sphere-vector memos, so a corpus with repeated vocabulary pays
-// for each Sim(c1, c2) evaluation and each semantic-network sphere walk
-// once, not once per document.
+// intra-document node workers hit the same memos, so a corpus with
+// repeated vocabulary pays for each Sim(c1, c2) evaluation, each max over
+// a context lemma's senses, and each semantic-network sphere walk once,
+// not once per document.
 //
-// Keys are dense int32 concept ids (the network's ConceptIndex) packed
-// into integers, and shard selection is a two-multiply mix — a warm lookup
-// hashes no strings and allocates nothing.
+// Every memo is a memo.Memo keyed by dense int32 ids packed into
+// integers — a warm lookup hashes no strings and allocates nothing.
 //
 // Invariants: the semantic network is immutable after Build, so every
-// cached value is a pure function of its key and never invalidates.
+// memoized value is a pure function of its key and never invalidates.
 // Cached sphere.Vector values are handed out shared — callers must treat
-// them as read-only (all in-tree consumers only read them). Sharded
-// read-write locks keep workers from serializing on a single mutex;
-// duplicated computation when two workers miss the same key concurrently
-// is harmless because both compute the identical value.
+// them as read-only (all in-tree consumers only read them).
 type Cache struct {
 	net *semnet.Network
 	sim *simmeasure.Measure
 
-	vecs  [vecShardCount]vecShard  // single-sense semantic-network vectors
-	pairs [vecShardCount]pairShard // compound-label combined vectors (Eq. 12)
+	maxes *memo.Memo[uint64, float64]        // (sense, label) -> max_j Sim(sense, s_j)
+	vecs  *memo.Memo[uint64, sphere.Vector]  // single-sense semantic-network vectors
+	pairs *memo.Memo[pairKey, sphere.Vector] // compound-label combined vectors (Eq. 12)
 
-	// scratch pools the dense BFS/vector buffers used to fill vector-cache
+	// scratch pools the dense BFS/vector buffers used to fill vector-memo
 	// misses, so a miss costs one sphere walk plus one Clone, not a fresh
 	// set of network-sized arrays.
 	scratch sync.Pool // *sphere.ConceptScratch
-
-	vecHits, vecMisses atomic.Uint64
-}
-
-const vecShardCount = 32
-
-// vecKey identifies a single-sense vector: dense concept id + radius.
-type vecKey struct {
-	c semnet.DenseID
-	d int32
 }
 
 // pairKey identifies a combined vector: packed canonical dense pair + radius.
@@ -57,30 +44,19 @@ type pairKey struct {
 	d  int32
 }
 
-type vecShard struct {
-	mu sync.RWMutex
-	m  map[vecKey]sphere.Vector
-}
-
-type pairShard struct {
-	mu sync.RWMutex
-	m  map[pairKey]sphere.Vector
-}
-
 // NewCache returns an empty cache over net with the given similarity
 // weights (normalized as by simmeasure.New).
 func NewCache(net *semnet.Network, w simmeasure.Weights) *Cache {
 	c := &Cache{
-		net: net,
-		sim: simmeasure.New(net, w),
+		net:   net,
+		sim:   simmeasure.New(net, w),
+		maxes: memo.New[uint64, float64](memo.Mix64),
+		vecs:  memo.New[uint64, sphere.Vector](memo.Mix64),
+		pairs: memo.New[pairKey, sphere.Vector](func(k pairKey) uint64 {
+			return memo.Mix64(k.pq ^ uint64(k.d))
+		}),
 	}
 	c.scratch.New = func() any { return new(sphere.ConceptScratch) }
-	for i := range c.vecs {
-		c.vecs[i].m = make(map[vecKey]sphere.Vector)
-	}
-	for i := range c.pairs {
-		c.pairs[i].m = make(map[pairKey]sphere.Vector)
-	}
 	return c
 }
 
@@ -93,8 +69,25 @@ func (c *Cache) Measure() *simmeasure.Measure { return c.sim }
 // Sim returns the memoized combined similarity of the pair.
 func (c *Cache) Sim(a, b semnet.ConceptID) float64 { return c.sim.Sim(a, b) }
 
-// SimDense is Sim over dense ids — the disambiguation inner loop's path.
-func (c *Cache) SimDense(a, b semnet.DenseID) float64 { return c.sim.SimDense(a, b) }
+// MaxSim returns max_j Sim(s, senses[j]) (0 for no senses) — the inner
+// max of concept scoring (Definition 8) — memoized per (s, label). senses
+// must be the network's sense list of label (semnet.SensesLabel), so the
+// pair names the value. Max is order-independent, so the memoized value
+// equals the direct loop bit for bit.
+func (c *Cache) MaxSim(s semnet.DenseID, label int32, senses []semnet.DenseID) float64 {
+	key := semnet.PairKey(s, label)
+	if v, ok := c.maxes.Get(key); ok {
+		return v
+	}
+	best := 0.0
+	for _, sj := range senses {
+		if v := c.sim.SimDense(s, sj); v > best {
+			best = v
+		}
+	}
+	c.maxes.Put(key, best)
+	return best
+}
 
 // ConceptVector returns the memoized semantic-network context vector
 // V_d(s) of a sense (Definition 10); unknown ids yield the empty vector.
@@ -109,22 +102,14 @@ func (c *Cache) ConceptVector(id semnet.ConceptID, d int) sphere.Vector {
 
 // ConceptVectorDense is ConceptVector keyed by dense id.
 func (c *Cache) ConceptVectorDense(id semnet.DenseID, d int) sphere.Vector {
-	key := vecKey{c: id, d: int32(d)}
-	sh := &c.vecs[semnet.MixPair(id, semnet.DenseID(d))%vecShardCount]
-	sh.mu.RLock()
-	v, ok := sh.m[key]
-	sh.mu.RUnlock()
-	if ok {
-		c.vecHits.Add(1)
+	key := semnet.PairKey(id, int32(d))
+	if v, ok := c.vecs.Get(key); ok {
 		return v
 	}
-	c.vecMisses.Add(1)
 	s := c.scratch.Get().(*sphere.ConceptScratch)
-	v = sphere.ConceptVectorInto(c.net, id, d, s).Clone()
+	v := sphere.ConceptVectorInto(c.net, id, d, s).Clone()
 	c.scratch.Put(s)
-	sh.mu.Lock()
-	sh.m[key] = v
-	sh.mu.Unlock()
+	c.vecs.Put(key, v)
 	return v
 }
 
@@ -149,39 +134,33 @@ func (c *Cache) PairVectorDense(p, q semnet.DenseID, d int) sphere.Vector {
 		p, q = q, p
 	}
 	key := pairKey{pq: semnet.PairKey(p, q), d: int32(d)}
-	sh := &c.pairs[semnet.MixPair(p, q)%vecShardCount]
-	sh.mu.RLock()
-	v, ok := sh.m[key]
-	sh.mu.RUnlock()
-	if ok {
-		c.vecHits.Add(1)
+	if v, ok := c.pairs.Get(key); ok {
 		return v
 	}
-	c.vecMisses.Add(1)
 	s := c.scratch.Get().(*sphere.ConceptScratch)
-	v = sphere.CombinedConceptVectorInto(c.net, p, q, d, s).Clone()
+	v := sphere.CombinedConceptVectorInto(c.net, p, q, d, s).Clone()
 	c.scratch.Put(s)
-	sh.mu.Lock()
-	sh.m[key] = v
-	sh.mu.Unlock()
+	c.pairs.Put(key, v)
 	return v
 }
 
 // CacheStats is a point-in-time snapshot of the shared cache counters, for
-// observability and effectiveness tests. Counters are atomics: exact in
-// serial runs, approximate snapshots under concurrency.
+// observability and effectiveness tests: exact in serial runs,
+// approximate snapshots under concurrency. Vector counts cover both the
+// single-sense and the compound-pair memo.
 type CacheStats struct {
 	SimHits, SimMisses       uint64
 	VectorHits, VectorMisses uint64
+	MaxHits, MaxMisses       uint64
 }
 
 // Stats reports hit/miss counts since construction.
 func (c *Cache) Stats() CacheStats {
-	h, m := c.sim.Stats()
-	return CacheStats{
-		SimHits:      h,
-		SimMisses:    m,
-		VectorHits:   c.vecHits.Load(),
-		VectorMisses: c.vecMisses.Load(),
-	}
+	var st CacheStats
+	st.SimHits, st.SimMisses = c.sim.Stats()
+	st.MaxHits, st.MaxMisses = c.maxes.Stats()
+	vh, vm := c.vecs.Stats()
+	ph, pm := c.pairs.Stats()
+	st.VectorHits, st.VectorMisses = vh+ph, vm+pm
+	return st
 }

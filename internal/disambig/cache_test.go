@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/lingproc"
+	"repro/internal/memo"
+	"repro/internal/semnet"
 	"repro/internal/simmeasure"
 	"repro/internal/wordnet"
 	"repro/internal/xmltree"
@@ -294,5 +296,47 @@ func TestApplyParallelCancellation(t *testing.T) {
 	}
 	if elapsed := time.Since(begin); elapsed > 5*time.Second {
 		t.Errorf("cancellation took %v", elapsed)
+	}
+}
+
+// TestMaxMemoMatchesDirectMax checks the max memo against the direct
+// loop over uncached similarities, bit for bit, for every (sense, lemma)
+// pair of the mini-WordNet: a cold read (which fills the memo) and a warm
+// read must both equal max_j SimDirectDense(s, s_j). Each direct pair is
+// computed once, into a table, and read for every lemma it serves.
+func TestMaxMemoMatchesDirectMax(t *testing.T) {
+	net := wordnet.Default()
+	c := NewCache(net, simmeasure.EqualWeights())
+	n := net.Len()
+	direct := make([]float64, n*n)
+	for a := 0; a < n; a++ {
+		for b := a; b < n; b++ {
+			v := c.Measure().SimDirectDense(semnet.DenseID(a), semnet.DenseID(b))
+			direct[a*n+b], direct[b*n+a] = v, v
+		}
+	}
+	for l := 0; l < net.NumLabels(); l++ {
+		if l%128 == 0 {
+			// A fresh max memo per block of lemmas bounds the test's
+			// memory; the similarity memo underneath stays warm.
+			c.maxes = memo.New[uint64, float64](memo.Mix64)
+		}
+		label, senses := net.SensesLabel(net.LabelName(int32(l)))
+		if label != int32(l) || len(senses) == 0 {
+			t.Fatalf("label %d (%q): SensesLabel = %d, %d senses", l, net.LabelName(int32(l)), label, len(senses))
+		}
+		for s := 0; s < n; s++ {
+			want := 0.0
+			for _, sj := range senses {
+				if v := direct[s*n+int(sj)]; v > want {
+					want = v
+				}
+			}
+			for _, pass := range []string{"cold", "warm"} {
+				if got := c.MaxSim(semnet.DenseID(s), label, senses); got != want {
+					t.Fatalf("MaxSim(%d, %q) %s = %.17g, direct max %.17g", s, net.LabelName(label), pass, got, want)
+				}
+			}
+		}
 	}
 }

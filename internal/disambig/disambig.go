@@ -199,14 +199,21 @@ type contextNode struct {
 	senseEnd   int32
 }
 
+// senseList is one context token's senses (dense ids, the network's
+// frozen per-lemma slice) with the label id that names them, the key of
+// the max memo.
+type senseList struct {
+	label  int32
+	senses []semnet.DenseID
+}
+
 // preparedContext is the fully-resolved sphere context of one target node:
-// the Definition 6–7 context vector, the per-member sense lists (dense
-// ids, referencing the network's frozen per-lemma slices), and the sphere
-// size.
+// the Definition 6–7 context vector, the per-member sense lists, and the
+// sphere size.
 type preparedContext struct {
 	vec        sphere.Vector
 	ctx        []contextNode
-	senseLists [][]semnet.DenseID
+	senseLists []senseList
 	size       int
 }
 
@@ -289,10 +296,10 @@ func (d *Disambiguator) buildContextInto(x *xmltree.Node, s *ctxScratch) *prepar
 		start := int32(len(pc.senseLists))
 		if toks := m.Node.Tokens; len(toks) > 0 {
 			for _, t := range toks {
-				pc.senseLists = append(pc.senseLists, d.sensesDense(t))
+				pc.senseLists = append(pc.senseLists, d.senseList(t))
 			}
 		} else {
-			pc.senseLists = append(pc.senseLists, d.sensesDense(m.Node.Label))
+			pc.senseLists = append(pc.senseLists, d.senseList(m.Node.Label))
 		}
 		pc.ctx = append(pc.ctx, contextNode{weight: w, senseStart: start, senseEnd: int32(len(pc.senseLists))})
 	}
@@ -309,13 +316,19 @@ func (d *Disambiguator) senses(tok string) []semnet.ConceptID {
 	return d.net.Senses(tok)
 }
 
-// sensesDense is senses in dense ids; the returned slice is the network's
-// frozen frequency-ordered sense list (read-only).
-func (d *Disambiguator) sensesDense(tok string) []semnet.DenseID {
+// senseList is senses in dense ids, with the token's label id; the slice
+// is the network's frozen frequency-ordered sense list (read-only).
+func (d *Disambiguator) senseList(tok string) senseList {
 	if faultinject.DropLookup() {
-		return nil
+		return senseList{label: -1}
 	}
-	return d.net.SensesDense(tok)
+	l, senses := d.net.SensesLabel(tok)
+	return senseList{label: l, senses: senses}
+}
+
+// sensesDense is senseList without the label id, for target tokens.
+func (d *Disambiguator) sensesDense(tok string) []semnet.DenseID {
+	return d.senseList(tok).senses
 }
 
 // conceptID converts a dense id back to its ConceptID for result Senses.
@@ -339,26 +352,34 @@ func (d *Disambiguator) denseCandidate(buf []semnet.DenseID, ids ...semnet.Conce
 	return buf
 }
 
-// pairSimDense routes concept-pair similarity through the shared cache, or
-// straight to the uncached computation in bypass mode. Cached reads pass
-// the cache-poison fault point, which chaos tests use to prove that a
-// corrupted score degrades answer quality, never answer shape. The -1
-// sentinel (a public-API candidate outside the network) scores 0, the
-// exact value the component measures produce for unknown concepts.
-func (d *Disambiguator) pairSimDense(a, b semnet.DenseID) float64 {
+// maxSim returns max_j Sim(s, s_j) over one context token's senses: one
+// read of the shared max memo, or in bypass mode the direct loop over
+// uncached similarities. Memo reads pass the cache-poison fault point,
+// which chaos tests use to prove that a corrupted score degrades answer
+// quality, never answer shape; the poison is applied to the value read,
+// never stored. The -1 sentinel (a public-API candidate outside the
+// network) scores 0, the exact value the component measures produce for
+// unknown concepts.
+func (d *Disambiguator) maxSim(s semnet.DenseID, sl senseList) float64 {
 	if d.bypassCache {
-		if a < 0 || b < 0 {
+		if s < 0 {
 			return 0
 		}
-		return d.cache.Measure().SimDirectDense(a, b)
+		best := 0.0
+		for _, sj := range sl.senses {
+			if v := d.cache.Measure().SimDirectDense(s, sj); v > best {
+				best = v
+			}
+		}
+		return best
 	}
 	if v, ok := faultinject.PoisonSim(); ok {
 		return v
 	}
-	if a < 0 || b < 0 {
+	if s < 0 {
 		return 0
 	}
-	return d.cache.SimDense(a, b)
+	return d.cache.MaxSim(s, sl.label, sl.senses)
 }
 
 // simToContextNode returns max_j Sim(s, s_j^i) over the senses of context
@@ -368,17 +389,11 @@ func (d *Disambiguator) pairSimDense(a, b semnet.DenseID) float64 {
 func (d *Disambiguator) simToContextNode(s semnet.DenseID, pc *preparedContext, cn contextNode) float64 {
 	var sum float64
 	var counted int
-	for _, senses := range pc.senseLists[cn.senseStart:cn.senseEnd] {
-		if len(senses) == 0 {
+	for _, sl := range pc.senseLists[cn.senseStart:cn.senseEnd] {
+		if len(sl.senses) == 0 {
 			continue
 		}
-		best := 0.0
-		for _, sj := range senses {
-			if v := d.pairSimDense(s, sj); v > best {
-				best = v
-			}
-		}
-		sum += best
+		sum += d.maxSim(s, sl)
 		counted++
 	}
 	if counted == 0 {

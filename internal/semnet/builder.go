@@ -167,15 +167,15 @@ func (b *Builder) Build() (*Network, error) {
 	for d := 0; d < N; d++ {
 		n.expGlossD[d] = n.expandGlossDense(DenseID(d))
 	}
-	n.sensesD = make(map[string][]DenseID, len(n.byLemma))
-	for lemma, ids := range n.byLemma {
+	n.sensesL = make([][]DenseID, len(n.labels))
+	for l, lemma := range n.labels {
+		ids := n.byLemma[lemma]
 		ds := make([]DenseID, len(ids))
 		for i, id := range ids {
 			ds[i] = n.index.dense[id]
 		}
-		n.sensesD[lemma] = ds
+		n.sensesL[l] = ds
 	}
-	n.lcsMemo.init()
 	return n, nil
 }
 

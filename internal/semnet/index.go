@@ -59,28 +59,11 @@ func (ix *ConceptIndex) ID(d DenseID) (ConceptID, bool) {
 	return ix.ids[d], true
 }
 
-// mix64 is the 64-bit finalizer of MurmurHash3: two multiplies and three
-// xor-shifts. It is the shard/key mix for every integer-keyed cache in the
-// scoring core, replacing the per-lookup fnv/maphash-over-strings the
-// string-keyed shards needed.
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
-// PairKey packs two dense ids into one map key. Callers canonicalize the
-// order when the relation is symmetric.
-func PairKey(a, b DenseID) uint64 {
+// PairKey packs two dense ids (or a dense id and a label id) into one map
+// key. Callers canonicalize the order when the relation is symmetric.
+func PairKey(a, b int32) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
-
-// MixPair returns a well-distributed hash of the packed pair, for shard
-// selection in int-keyed caches.
-func MixPair(a, b DenseID) uint64 { return mix64(PairKey(a, b)) }
 
 // Index returns the Network's concept index. The returned value is shared
 // and read-only.
@@ -109,37 +92,25 @@ func (n *Network) LabelDense(d DenseID) int32 { return n.labelOfD[d] }
 // ExpandedGlossTokensDense is ExpandedGlossTokens for an in-range dense id.
 func (n *Network) ExpandedGlossTokensDense(d DenseID) []string { return n.expGlossD[d] }
 
-// SensesDense returns the dense ids of the lemma's senses in the same
-// frequency order as Senses. The slice is shared and read-only; nil when
-// the lemma is unknown.
-func (n *Network) SensesDense(lemma string) []DenseID {
-	return n.sensesD[lower(lemma)]
-}
-
-// LCSDense is LCS over dense ids: the deepest shared ancestor in the
-// hypernym hierarchy, memoized per ordered pair under sharded locks with a
-// two-multiply integer mix (no hasher allocation, no string conversion).
-func (n *Network) LCSDense(a, b DenseID) (DenseID, bool) {
-	key := PairKey(a, b)
-	sh := &n.lcsMemo.shards[mix64(key)&(lcsShardCount-1)]
-	sh.mu.RLock()
-	e, hit := sh.m[key]
-	sh.mu.RUnlock()
-	if hit {
-		return e.d, e.ok
+// SensesLabel returns the label id of a word or expression and the dense
+// ids of its senses in the same frequency order as Senses, or -1 and nil
+// when the lemma is unknown. The slice is shared and read-only; the label
+// id names the sense list, so memos can key on it.
+func (n *Network) SensesLabel(lemma string) (int32, []DenseID) {
+	l, ok := n.labelID[lower(lemma)]
+	if !ok {
+		return -1, nil
 	}
-	d, ok := n.lcsComputeDense(a, b)
-	sh.mu.Lock()
-	sh.m[key] = lcsEntry{d: d, ok: ok}
-	sh.mu.Unlock()
-	return d, ok
+	return l, n.sensesL[l]
 }
 
-// lcsComputeDense scans b's ancestors in BFS visit order — the same walk
-// (tie-breaks included) the string-keyed implementation did — keeping the
-// deepest one that is also an ancestor of a. Membership in a's ancestor set
-// is a binary search over the sorted dense ancestor array.
-func (n *Network) lcsComputeDense(a, b DenseID) (DenseID, bool) {
+// LCSDense is LCS over dense ids: it scans b's ancestors in BFS visit
+// order — the same walk (tie-breaks included) the string-keyed
+// implementation did — keeping the deepest one that is also an ancestor of
+// a. Membership in a's ancestor set is a binary search over the sorted
+// dense ancestor array. It is not memoized: its hot caller, the pairwise
+// similarity memo, computes each pair once.
+func (n *Network) LCSDense(a, b DenseID) (DenseID, bool) {
 	anc := n.ancSortedD[a]
 	best := DenseID(-1)
 	bestDepth := int32(-1)

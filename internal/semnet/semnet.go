@@ -120,12 +120,12 @@ type Network struct {
 
 	// Dense representation, indexed by the position of each concept in the
 	// immutable insertion order. Built once in Build; never mutated.
-	index    *ConceptIndex
-	depthD   []int32       // hypernym depth; roots have depth 1
-	cumFreqD []float64     // own freq + all hyponym descendants
-	icD      []float64     // precomputed -log(cumFreq/totalFreq)
-	edgesD   [][]DenseEdge // integer adjacency mirroring edges
-	glossTokD [][]string   // tokenized gloss cache
+	index     *ConceptIndex
+	depthD    []int32       // hypernym depth; roots have depth 1
+	cumFreqD  []float64     // own freq + all hyponym descendants
+	icD       []float64     // precomputed -log(cumFreq/totalFreq)
+	edgesD    [][]DenseEdge // integer adjacency mirroring edges
+	glossTokD [][]string    // tokenized gloss cache
 
 	// Label universe: every distinct lemma, sorted lexicographically, so
 	// dense label ids preserve string order. labelOfD maps each concept to
@@ -145,40 +145,13 @@ type Network struct {
 	ancSortedD [][]int32  // same contents, ascending (binary-search membership)
 	expGlossD  [][]string // own + direct-neighbor gloss tokens
 
-	sensesD map[string][]DenseID // lemma -> dense senses, frequency order
-
-	lcsMemo lcsCache // concurrency-safe LCS memo (taxonomy walks dominate Sim cost)
+	// sensesL maps each label id to its dense senses, frequency order.
+	sensesL [][]DenseID
 
 	// checksum memoizes Checksum() — the SHA-256 of the canonical Save
 	// bytes, the in-memory identity the hot-swap layer reports.
 	checksumOnce sync.Once
 	checksum     string
-}
-
-// lcsCache memoizes LCS results under sharded locks so one immutable
-// Network can serve many goroutines without contention on a single mutex.
-// Keys are packed dense pairs; shard selection is a two-multiply integer
-// mix (mix64), so a lookup allocates nothing and hashes no strings.
-const lcsShardCount = 32
-
-type lcsCache struct {
-	shards [lcsShardCount]lcsShard
-}
-
-type lcsShard struct {
-	mu sync.RWMutex
-	m  map[uint64]lcsEntry
-}
-
-type lcsEntry struct {
-	d  DenseID
-	ok bool
-}
-
-func (c *lcsCache) init() {
-	for i := range c.shards {
-		c.shards[i].m = make(map[uint64]lcsEntry)
-	}
 }
 
 func lower(s string) string { return strings.ToLower(s) }
@@ -272,8 +245,8 @@ func (n *Network) maxIC() float64 {
 // LCS returns the lowest common subsumer of a and b in the hypernym
 // hierarchy (the deepest shared ancestor, where a concept is an ancestor of
 // itself) and true, or "" and false when the two concepts share no ancestor.
-// Known pairs route through the int-keyed memo (LCSDense); ids outside the
-// network fall back to an uncached string walk.
+// Known pairs take the dense walk (LCSDense); ids outside the network fall
+// back to a string walk.
 func (n *Network) LCS(a, b ConceptID) (ConceptID, bool) {
 	da, oka := n.index.Dense(a)
 	db, okb := n.index.Dense(b)

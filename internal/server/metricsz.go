@@ -135,9 +135,11 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, _ *http.Request) {
 	e.Family("xsdf_cache_hits_total", "Disambiguation cache hits.", "counter")
 	e.Sample("", []metrics.Label{{Name: "cache", Value: "similarity"}}, float64(cs.SimHits))
 	e.Sample("", []metrics.Label{{Name: "cache", Value: "vector"}}, float64(cs.VectorHits))
+	e.Sample("", []metrics.Label{{Name: "cache", Value: "max"}}, float64(cs.MaxHits))
 	e.Family("xsdf_cache_misses_total", "Disambiguation cache misses.", "counter")
 	e.Sample("", []metrics.Label{{Name: "cache", Value: "similarity"}}, float64(cs.SimMisses))
 	e.Sample("", []metrics.Label{{Name: "cache", Value: "vector"}}, float64(cs.VectorMisses))
+	e.Sample("", []metrics.Label{{Name: "cache", Value: "max"}}, float64(cs.MaxMisses))
 
 	// Admission gate (absent when admission is disabled).
 	if gs, ok := s.fw.GateStats(); ok {

@@ -140,6 +140,24 @@ func TestMetricszGolden(t *testing.T) {
 		}
 	}
 
+	// Cache families carry one sample per memo. The test document was
+	// disambiguated several times, so the max memo missed on the first
+	// pass and hit on the repeats.
+	for _, fam := range []string{"xsdf_cache_hits_total", "xsdf_cache_misses_total"} {
+		byCache := map[string]float64{}
+		for _, smp := range fams[fam].Samples {
+			byCache[smp.Labels["cache"]] = smp.Value
+		}
+		for _, c := range []string{"similarity", "vector", "max"} {
+			if _, ok := byCache[c]; !ok {
+				t.Errorf("%s missing cache=%q", fam, c)
+			}
+		}
+		if byCache["max"] == 0 {
+			t.Errorf(`%s{cache="max"} is zero after repeated traffic`, fam)
+		}
+	}
+
 	// Stream lifecycle: one delivered document line (the resumed stream's
 	// second doc) plus three subtree lines, and one resume.
 	if got := counterValue(t, fams, "xsdf_stream_documents_delivered_total"); got != 4 {

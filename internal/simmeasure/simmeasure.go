@@ -13,9 +13,8 @@ package simmeasure
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/memo"
 	"repro/internal/semnet"
 )
 
@@ -58,98 +57,32 @@ func (w Weights) Normalize() Weights {
 	return Weights{Edge: w.Edge / s, Node: w.Node / s, Gloss: w.Gloss / s}
 }
 
-// simShardCount is the number of shards of the pairwise-Sim cache.
-// Sharding keeps many disambiguation goroutines from serializing on one
-// mutex; 64 shards are plenty for the worker counts a single host runs.
-const simShardCount = 64
-
-// simShard is one cache shard, organized for a read-dominated workload:
-// lookups on the clean map are lock-free (one atomic pointer load, no
-// read-modify-write — an RWMutex read lock costs three locked RMW ops per
-// lookup, which dominated the warm scoring profile). Writers insert into
-// the small mutex-guarded dirty map and periodically merge it into a
-// fresh clean map swapped in atomically; the publication ordering of
-// Store/Load makes the merged map safely immutable to readers.
-type simShard struct {
-	clean atomic.Pointer[map[uint64]float64] // read-only; never mutated after Store
-	mu    sync.Mutex
-	dirty map[uint64]float64 // entries since the last merge
-}
-
-// lookup returns the cached value for key, lock-free when the entry has
-// been merged into the clean map, under the shard mutex while it still
-// sits in dirty.
-func (sh *simShard) lookup(key uint64) (float64, bool) {
-	if p := sh.clean.Load(); p != nil {
-		if v, ok := (*p)[key]; ok {
-			return v, true
-		}
-	}
-	sh.mu.Lock()
-	v, ok := sh.dirty[key]
-	sh.mu.Unlock()
-	return v, ok
-}
-
-// insert records a computed value and merges dirty into a new clean map
-// once dirty outgrows a quarter of clean (capped so entries reach the
-// lock-free path promptly even in huge shards). Each entry is copied an
-// amortized-constant number of times; values are pure functions of the
-// immutable network, so racing inserts of one key write the same value.
-func (sh *simShard) insert(key uint64, v float64) {
-	sh.mu.Lock()
-	sh.dirty[key] = v
-	n := 0
-	if p := sh.clean.Load(); p != nil {
-		n = len(*p)
-	}
-	if threshold := 1 + n/4; len(sh.dirty) >= threshold || len(sh.dirty) >= 1024 {
-		merged := make(map[uint64]float64, n+len(sh.dirty))
-		if p := sh.clean.Load(); p != nil {
-			for k, val := range *p {
-				merged[k] = val
-			}
-		}
-		for k, val := range sh.dirty {
-			merged[k] = val
-		}
-		sh.clean.Store(&merged)
-		sh.dirty = make(map[uint64]float64)
-	}
-	sh.mu.Unlock()
-}
-
 // Measure evaluates combined semantic similarity between concepts of one
-// network. It caches pairwise scores, which matters because disambiguation
-// evaluates the same sense pairs many times across context nodes — and,
-// when one Measure is shared by a whole batch run, across documents.
+// network. It memoizes pairwise scores, which matters because
+// disambiguation evaluates the same sense pairs many times across context
+// nodes — and, when one Measure is shared by a whole batch run, across
+// documents.
 //
-// The cache is keyed by packed dense int32 concept pairs (canonical
-// dense-ascending order), and shard selection is a two-multiply integer
-// mix: a warm lookup allocates nothing, hashes no strings, and takes Go's
-// fast uint64 map-access path.
+// The memo is keyed by packed dense int32 concept pairs (canonical
+// dense-ascending order): a warm lookup allocates nothing, hashes no
+// strings, and takes Go's fast uint64 map-access path.
 //
-// Measure is safe for concurrent use: the cache is sharded under
-// read-write locks, and cached values are pure functions of the immutable
-// network, so duplicated computation under contention is harmless.
+// Measure is safe for concurrent use: memoized values are pure functions
+// of the immutable network, so duplicated computation under contention is
+// harmless.
 type Measure struct {
 	net     *semnet.Network
 	weights Weights
-	shards  [simShardCount]simShard
-
-	hits, misses atomic.Uint64
+	memo    *memo.Memo[uint64, float64]
 }
 
 // New returns a Measure over net with the given (normalized) weights.
 func New(net *semnet.Network, w Weights) *Measure {
-	m := &Measure{
+	return &Measure{
 		net:     net,
 		weights: w.Normalize(),
+		memo:    memo.New[uint64, float64](memo.Mix64),
 	}
-	for i := range m.shards {
-		m.shards[i].dirty = make(map[uint64]float64)
-	}
-	return m
 }
 
 // Weights returns the active combination weights.
@@ -175,7 +108,7 @@ func (m *Measure) Sim(c1, c2 semnet.ConceptID) float64 {
 }
 
 // SimDense is Sim over dense ids — the scoring core's entry point. The
-// pair is canonicalized to dense-ascending order for both the cache key
+// pair is canonicalized to dense-ascending order for both the memo key
 // and the (order-sensitive, tie-break-wise) computation, so SimDense,
 // Sim, and SimDirect agree bit for bit in every argument order.
 func (m *Measure) SimDense(d1, d2 semnet.DenseID) float64 {
@@ -186,14 +119,11 @@ func (m *Measure) SimDense(d1, d2 semnet.DenseID) float64 {
 		d1, d2 = d2, d1
 	}
 	key := semnet.PairKey(d1, d2)
-	sh := &m.shards[semnet.MixPair(d1, d2)%simShardCount]
-	if v, ok := sh.lookup(key); ok {
-		m.hits.Add(1)
+	if v, ok := m.memo.Get(key); ok {
 		return v
 	}
-	m.misses.Add(1)
 	v := m.simComputeDense(d1, d2)
-	sh.insert(key, v)
+	m.memo.Put(key, v)
 	return v
 }
 
@@ -229,10 +159,11 @@ func (m *Measure) SimDirectDense(d1, d2 semnet.DenseID) float64 {
 }
 
 // simComputeDense evaluates the weighted combination for a canonical
-// (dense-ascending) pair.
+// (dense-ascending) pair. The edge and node measures share one LCS walk.
 func (m *Measure) simComputeDense(d1, d2 semnet.DenseID) float64 {
-	v := m.weights.Edge*m.edgeDense(d1, d2) +
-		m.weights.Node*m.nodeICDense(d1, d2) +
+	lcs, ok := m.net.LCSDense(d1, d2)
+	v := m.weights.Edge*m.edgeDense(d1, d2, lcs, ok) +
+		m.weights.Node*m.nodeICDense(d1, d2, lcs, ok) +
 		m.weights.Gloss*m.glossDense(d1, d2)
 	if v < 0 {
 		v = 0
@@ -259,9 +190,8 @@ func (m *Measure) simDirectSlow(c1, c2 semnet.ConceptID) float64 {
 	return v
 }
 
-// edgeDense is Edge over dense ids.
-func (m *Measure) edgeDense(c1, c2 semnet.DenseID) float64 {
-	lcs, ok := m.net.LCSDense(c1, c2)
+// edgeDense is Edge over dense ids, given their LCS.
+func (m *Measure) edgeDense(c1, c2, lcs semnet.DenseID, ok bool) float64 {
 	if !ok {
 		return 0
 	}
@@ -272,9 +202,8 @@ func (m *Measure) edgeDense(c1, c2 semnet.DenseID) float64 {
 	return 2 * float64(m.net.DepthDense(lcs)) / float64(d1+d2)
 }
 
-// nodeICDense is NodeIC over dense ids.
-func (m *Measure) nodeICDense(c1, c2 semnet.DenseID) float64 {
-	lcs, ok := m.net.LCSDense(c1, c2)
+// nodeICDense is NodeIC over dense ids, given their LCS.
+func (m *Measure) nodeICDense(c1, c2, lcs semnet.DenseID, ok bool) float64 {
 	if !ok {
 		return 0
 	}
@@ -303,11 +232,9 @@ func (m *Measure) glossDense(c1, c2 semnet.DenseID) float64 {
 	return raw / (raw + glossSaturation)
 }
 
-// Stats reports cache hits and misses since construction (atomic counters;
-// approximate under concurrency, exact in serial runs).
-func (m *Measure) Stats() (hits, misses uint64) {
-	return m.hits.Load(), m.misses.Load()
-}
+// Stats reports memo hits and misses since construction (exact in serial
+// runs, approximate under concurrency).
+func (m *Measure) Stats() (hits, misses uint64) { return m.memo.Stats() }
 
 // Edge is the Wu-Palmer edge-based measure:
 //
