@@ -92,6 +92,51 @@ func TestLCS(t *testing.T) {
 	}
 }
 
+// TestLCSEqualDepthTieBreak pins the LCS tie-break under multiple
+// inheritance. In the diamond below, x and y are both depth-2 common
+// ancestors of a and b. x has the lower dense id, but b lists y first
+// among its hypernyms, so y comes first in b's BFS visit order; a lists
+// them the other way round. LCS(a, b) must return the candidate that
+// comes first in b's BFS order, not the one with the lower id.
+func TestLCSEqualDepthTieBreak(t *testing.T) {
+	b := NewBuilder()
+	b.AddConcept("root.n.01", "the root", 10, "root")
+	b.AddConcept("x.n.01", "first middle", 5, "x")
+	b.AddConcept("y.n.01", "second middle", 5, "y")
+	b.AddConcept("a.n.01", "left leaf", 1, "a")
+	b.AddConcept("b.n.01", "right leaf", 1, "b")
+	b.IsA("x.n.01", "root.n.01")
+	b.IsA("y.n.01", "root.n.01")
+	b.IsA("a.n.01", "x.n.01")
+	b.IsA("a.n.01", "y.n.01")
+	b.IsA("b.n.01", "y.n.01")
+	b.IsA("b.n.01", "x.n.01")
+	n, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dx, _ := n.Dense("x.n.01")
+	dy, _ := n.Dense("y.n.01")
+	if !(dx < dy) || n.Depth("x.n.01") != n.Depth("y.n.01") {
+		t.Fatalf("fixture broken: want dense(x) < dense(y) at equal depth")
+	}
+	for _, c := range []struct{ a, b, want ConceptID }{
+		{"a.n.01", "b.n.01", "y.n.01"},
+		{"b.n.01", "a.n.01", "x.n.01"},
+		{"a.n.01", "a.n.01", "a.n.01"},
+		{"x.n.01", "b.n.01", "x.n.01"},
+	} {
+		if lcs, ok := n.LCS(c.a, c.b); !ok || lcs != c.want {
+			t.Errorf("LCS(%s, %s) = %s %v, want %s", c.a, c.b, lcs, ok, c.want)
+		}
+		da, _ := n.Dense(c.a)
+		db, _ := n.Dense(c.b)
+		if d, ok := n.LCSDense(da, db); !ok || n.Index().ids[d] != c.want {
+			t.Errorf("LCSDense(%s, %s) = %d %v, want %s", c.a, c.b, d, ok, c.want)
+		}
+	}
+}
+
 func TestICMonotoneUpHierarchy(t *testing.T) {
 	n := buildFigure2(t)
 	// IC must not decrease with specialization: IC(actor) >= IC(person) >=

@@ -2,6 +2,7 @@ package simmeasure
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -206,3 +207,159 @@ func TestSimPropertyRandomPairs(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// oraclePhraseOverlap is the string form of the extended-gloss-overlap raw
+// score, kept as a test oracle for the production kernel: repeatedly find
+// the longest common consecutive token run of a and b (the first one by
+// end cell, row-major, on equal length), add its squared length, and
+// blank it out with sentinels that never match, until no run is left.
+func oraclePhraseOverlap(a, b []string) float64 {
+	ac := append([]string(nil), a...)
+	bc := append([]string(nil), b...)
+	var score float64
+	for {
+		ai, bi, l := oracleLongestCommonRun(ac, bc)
+		if l == 0 {
+			return score
+		}
+		score += float64(l * l)
+		for k := 0; k < l; k++ {
+			ac[ai+k] = "\x00a"
+			bc[bi+k] = "\x00b"
+		}
+	}
+}
+
+// oracleLongestCommonRun returns the start indexes and length of the first
+// (by end cell, row-major) longest common consecutive run of a and b.
+func oracleLongestCommonRun(a, b []string) (ai, bi, l int) {
+	if len(a) == 0 || len(b) == 0 {
+		return 0, 0, 0
+	}
+	prev := make([]int, len(b)+1)
+	cur := make([]int, len(b)+1)
+	for i := 1; i <= len(a); i++ {
+		for j := 1; j <= len(b); j++ {
+			if a[i-1] == b[j-1] {
+				cur[j] = prev[j-1] + 1
+				if cur[j] > l {
+					l = cur[j]
+					ai = i - l
+					bi = j - l
+				}
+			} else {
+				cur[j] = 0
+			}
+		}
+		prev, cur = cur, prev
+	}
+	return ai, bi, l
+}
+
+// oracleExpandedGloss rebuilds a concept's extended gloss from the public
+// API: its own gloss tokens, then each neighbor's in edge order.
+func oracleExpandedGloss(net *semnet.Network, c semnet.ConceptID) []string {
+	out := append([]string(nil), net.GlossTokens(c)...)
+	for _, e := range net.Edges(c) {
+		out = append(out, net.GlossTokens(e.To)...)
+	}
+	return out
+}
+
+// oracleGloss is Gloss computed entirely by the string oracle.
+func oracleGloss(net *semnet.Network, c1, c2 semnet.ConceptID) float64 {
+	if c1 == c2 {
+		return 1
+	}
+	g1, g2 := oracleExpandedGloss(net, c1), oracleExpandedGloss(net, c2)
+	if len(g1) == 0 || len(g2) == 0 {
+		return 0
+	}
+	raw := oraclePhraseOverlap(g1, g2)
+	return raw / (raw + glossSaturation)
+}
+
+// generated5k is the 5,000-concept synthetic lexicon the cold-lexicon
+// benchmark scores over.
+func generated5k(tb testing.TB) *semnet.Network {
+	tb.Helper()
+	net, err := wordnet.Generate(wordnet.GenerateConfig{Seed: 1, Concepts: 5000, Lemmas: 1800, MaxBranch: 6, PartEvery: 7})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return net
+}
+
+// TestGlossMatchesStringOracleOnGenerated compares Gloss bit for bit with
+// the string oracle over seeded pairs of the generated 5k lexicon: random
+// pairs (mostly disjoint glosses) and concept/neighbor-of-neighbor pairs
+// (which share whole gloss phrases through their common neighbor).
+func TestGlossMatchesStringOracleOnGenerated(t *testing.T) {
+	net := generated5k(t)
+	ids := net.Concepts()
+	rng := rand.New(rand.NewSource(11))
+	overlapping := 0
+	check := func(a, b semnet.ConceptID) {
+		got, want := Gloss(net, a, b), oracleGloss(net, a, b)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Gloss(%s, %s) = %.17g, oracle %.17g", a, b, got, want)
+		}
+		if want > 0 {
+			overlapping++
+		}
+	}
+	for k := 0; k < 2000; k++ {
+		a := ids[rng.Intn(len(ids))]
+		check(a, ids[rng.Intn(len(ids))])
+		if es := net.Edges(a); len(es) > 0 {
+			if fs := net.Edges(es[rng.Intn(len(es))].To); len(fs) > 0 {
+				b := fs[rng.Intn(len(fs))].To
+				check(a, b)
+				check(b, a)
+			}
+		}
+	}
+	if overlapping < 1000 {
+		t.Fatalf("only %d overlapping pairs: the sample does not exercise the run search", overlapping)
+	}
+}
+
+// TestPhraseOverlapMatchesStringOracle compares the production kernel bit
+// for bit with the string oracle on short sequences over a three-letter
+// alphabet: repeated tokens, overlapping and competing equal-length runs,
+// where the greedy order of removal decides the score.
+func TestPhraseOverlapMatchesStringOracle(t *testing.T) {
+	cases := [][2][]string{
+		// Equal-length runs compete, and the greedy pick decides the total:
+		// the first run by end cell scores 6 here and 8 in the next case;
+		// taking the last one instead would score 8 and 6.
+		{{"b", "b", "c", "b"}, {"c", "b", "b", "b"}},
+		{{"b", "c", "c", "b"}, {"c", "b", "b", "c", "b"}},
+		{{"a", "b", "c", "a", "b"}, {"c", "a", "b", "c"}},
+		{{"a", "a", "a"}, {"a", "a"}},
+		{{}, {"a"}},
+	}
+	rng := rand.New(rand.NewSource(5))
+	alphabet := []string{"a", "b", "c"}
+	for k := 0; k < 3000; k++ {
+		var c [2][]string
+		for s := range c {
+			for n := rng.Intn(24); n > 0; n-- {
+				c[s] = append(c[s], alphabet[rng.Intn(len(alphabet))])
+			}
+		}
+		cases = append(cases, c)
+	}
+	if got := oraclePhraseOverlap(cases[0][0], cases[0][1]); got != 6 {
+		t.Fatalf("oracle scores the competing-runs case %g, want 6", got)
+	}
+	for _, c := range cases {
+		got, want := kernelOverlap(c[0], c[1]), oraclePhraseOverlap(c[0], c[1])
+		if got != want {
+			t.Fatalf("phraseOverlap(%v, %v) = %g, oracle %g", c[0], c[1], got, want)
+		}
+	}
+}
+
+// kernelOverlap runs the production overlap kernel on string sequences.
+func kernelOverlap(a, b []string) float64 { return phraseOverlap(a, b) }
