@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"repro/internal/lingproc"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -114,9 +115,9 @@ func (b *Builder) Build() (*Network, error) {
 	}
 	// Dense representation: assign every concept its int32 id (position in
 	// the immutable insertion order) and translate the edge set, then run
-	// every derived computation — depths, cumulative frequencies, gloss
-	// caches, ancestor lists, expanded glosses — directly on the dense
-	// arrays. The string-keyed API delegates through the index.
+	// every derived computation — depths, cumulative frequencies, ancestor
+	// sets, interned expanded glosses — directly on the dense arrays. The
+	// string-keyed API delegates through the index.
 	n.index = newConceptIndex(n.order)
 	N := len(n.order)
 	n.edgesD = make([][]DenseEdge, N)
@@ -144,29 +145,12 @@ func (b *Builder) Build() (*Network, error) {
 			n.icD[d] = n.maxIC()
 		}
 	}
-	n.glossTokD = make([][]string, N)
-	for i, id := range n.order {
-		n.glossTokD[i] = tokenizeGloss(b.concepts[id].Gloss)
-	}
-	// Hot-path precomputations: ancestor lists (BFS visit order, plus a
-	// sorted copy for binary-search membership) for LCS, expanded glosses
-	// for the overlap measure. Both are pure functions of the now-frozen
-	// edge set, so computing them once here removes the per-call taxonomy
-	// walks and gloss concatenations that dominate similarity scoring.
-	n.ancListD = make([][]int32, N)
-	n.ancSortedD = make([][]int32, N)
-	for d := 0; d < N; d++ {
-		list := n.ancestorListDense(DenseID(d))
-		n.ancListD[d] = list
-		sorted := make([]int32, len(list))
-		copy(sorted, list)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		n.ancSortedD[d] = sorted
-	}
-	n.expGlossD = make([][]string, N)
-	for d := 0; d < N; d++ {
-		n.expGlossD[d] = n.expandGlossDense(DenseID(d))
-	}
+	// Hot-path precomputations, pure functions of the now-frozen network:
+	// ancestor sets for LCS and interned expanded glosses for the overlap
+	// measure, so similarity scoring neither walks the taxonomy nor
+	// concatenates or hashes gloss strings per pair.
+	n.buildAncestors()
+	n.buildGlosses(b.concepts)
 	n.sensesL = make([][]DenseID, len(n.labels))
 	for l, lemma := range n.labels {
 		ids := n.byLemma[lemma]
@@ -196,29 +180,6 @@ func (n *Network) buildLabelTable() {
 	for i, id := range n.order {
 		n.labelOfD[i] = n.labelID[n.concepts[id].Label()]
 	}
-}
-
-// ancestorListDense returns d and all its transitive hypernyms in BFS visit
-// order (dedup on first visit), matching the walk LCS historically did.
-func (n *Network) ancestorListDense(d DenseID) []int32 {
-	out := []int32{}
-	seen := make(map[int32]struct{})
-	queue := []int32{d}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if _, dup := seen[cur]; dup {
-			continue
-		}
-		seen[cur] = struct{}{}
-		out = append(out, cur)
-		for _, e := range n.edgesD[cur] {
-			if e.Rel == Hypernym {
-				queue = append(queue, e.To)
-			}
-		}
-	}
-	return out
 }
 
 // MustBuild is Build that panics on error, for static embedded lexicons.
@@ -302,26 +263,11 @@ func (n *Network) computeCumFreq() {
 	// frozen edge set, so the float sum is deterministic.
 	N := len(n.order)
 	n.cumFreqD = make([]float64, N)
-	visited := make([]int32, N)
-	epoch := int32(0)
-	var queue []int32
+	w := newWalker(N)
 	for d := 0; d < N; d++ {
-		epoch++
-		queue = append(queue[:0], int32(d))
 		var sum float64
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
-			if visited[cur] == epoch {
-				continue
-			}
-			visited[cur] = epoch
+		for _, cur := range w.walk(n, DenseID(d), Hyponym) {
 			sum += n.concepts[n.order[cur]].Freq
-			for _, e := range n.edgesD[cur] {
-				if e.Rel == Hyponym {
-					queue = append(queue, e.To)
-				}
-			}
 		}
 		n.cumFreqD[d] = sum
 	}
@@ -337,6 +283,108 @@ func (n *Network) computeCumFreq() {
 			n.totalFreq += n.cumFreqD[d]
 		}
 	}
+}
+
+// walker runs breadth-first walks over one relation kind, reusing an
+// epoch-stamped visited slice and one queue across walks.
+type walker struct {
+	visited []int32
+	epoch   int32
+	queue   []int32
+}
+
+func newWalker(n int) *walker { return &walker{visited: make([]int32, n)} }
+
+// walk returns d and every concept reachable from it over rel edges, each
+// once, in BFS visit order. The slice is reused by the next walk.
+func (w *walker) walk(n *Network, d DenseID, rel Relation) []int32 {
+	w.epoch++
+	w.queue = append(w.queue[:0], d)
+	w.visited[d] = w.epoch
+	for h := 0; h < len(w.queue); h++ {
+		for _, e := range n.edgesD[w.queue[h]] {
+			if e.Rel == rel && w.visited[e.To] != w.epoch {
+				w.visited[e.To] = w.epoch
+				w.queue = append(w.queue, e.To)
+			}
+		}
+	}
+	return w.queue
+}
+
+// buildAncestors stores each concept's ancestor set (itself and all
+// transitive hypernyms) in ascending id order, with each ancestor's rank
+// in the concept's BFS visit order alongside.
+func (n *Network) buildAncestors() {
+	N := len(n.order)
+	w := newWalker(N)
+	rankOf := make([]int32, N)
+	anc := ragged{off: make([]int, N+1)}
+	var rank []int32
+	for d := 0; d < N; d++ {
+		start := len(anc.data)
+		for r, cur := range w.walk(n, DenseID(d), Hypernym) {
+			rankOf[cur] = int32(r)
+			anc.data = append(anc.data, cur)
+		}
+		slices.Sort(anc.data[start:])
+		for _, cur := range anc.data[start:] {
+			rank = append(rank, rankOf[cur])
+		}
+		anc.off[d+1] = len(anc.data)
+	}
+	anc.data = slices.Clone(anc.data)
+	n.ancestors, n.ancRank = anc, slices.Clone(rank)
+}
+
+// buildGlosses interns each concept's own gloss tokens, then stores every
+// expanded gloss (own tokens, then each neighbor's in edge order) as ids
+// together with its ascending set of distinct ids.
+func (n *Network) buildGlosses(concepts map[ConceptID]*Concept) {
+	N := len(n.order)
+	intern := make(map[string]int32)
+	own := ragged{off: make([]int, N+1)}
+	for d, id := range n.order {
+		for _, tok := range tokenizeGloss(concepts[id].Gloss) {
+			t, ok := intern[tok]
+			if !ok {
+				t = int32(len(n.glossVocab))
+				intern[tok] = t
+				n.glossVocab = append(n.glossVocab, tok)
+			}
+			own.data = append(own.data, t)
+		}
+		own.off[d+1] = len(own.data)
+	}
+	n.glossOwn = make([]int32, N)
+	total := 0
+	for d := range n.glossOwn {
+		n.glossOwn[d] = int32(own.off[d+1] - own.off[d])
+		total += int(n.glossOwn[d])
+		for _, e := range n.edgesD[d] {
+			total += own.off[e.To+1] - own.off[e.To]
+		}
+	}
+	exp := ragged{off: make([]int, N+1), data: make([]int32, 0, total)}
+	set := ragged{off: make([]int, N+1)}
+	seen := make([]int32, len(n.glossVocab))
+	for d := 0; d < N; d++ {
+		start, setStart := len(exp.data), len(set.data)
+		exp.data = append(exp.data, own.row(DenseID(d))...)
+		for _, e := range n.edgesD[d] {
+			exp.data = append(exp.data, own.row(e.To)...)
+		}
+		for _, t := range exp.data[start:] {
+			if seen[t] != int32(d+1) {
+				seen[t] = int32(d + 1)
+				set.data = append(set.data, t)
+			}
+		}
+		slices.Sort(set.data[setStart:])
+		exp.off[d+1], set.off[d+1] = len(exp.data), len(set.data)
+	}
+	set.data = slices.Clone(set.data)
+	n.expGloss, n.glossSet = exp, set
 }
 
 // tokenizeGloss lower-cases, splits, and stems a gloss into content words

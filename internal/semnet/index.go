@@ -89,8 +89,14 @@ func (n *Network) EdgesDense(d DenseID) []DenseEdge { return n.edgesD[d] }
 // (always a known label: primary labels are lemmas).
 func (n *Network) LabelDense(d DenseID) int32 { return n.labelOfD[d] }
 
-// ExpandedGlossTokensDense is ExpandedGlossTokens for an in-range dense id.
-func (n *Network) ExpandedGlossTokensDense(d DenseID) []string { return n.expGlossD[d] }
+// GlossDense returns the concept's expanded gloss as interned token ids —
+// its own gloss tokens, then each direct neighbor's over all relation
+// kinds in edge order: the "extended" gloss of the Banerjee-Pedersen
+// overlap measure — and the ascending set of its distinct ids. Both
+// slices are shared and read-only.
+func (n *Network) GlossDense(d DenseID) (seq, set []int32) {
+	return n.expGloss.row(d), n.glossSet.row(d)
+}
 
 // SensesLabel returns the label id of a word or expression and the dense
 // ids of its senses in the same frequency order as Senses, or -1 and nil
@@ -104,45 +110,41 @@ func (n *Network) SensesLabel(lemma string) (int32, []DenseID) {
 	return l, n.sensesL[l]
 }
 
-// LCSDense is LCS over dense ids: it scans b's ancestors in BFS visit
-// order — the same walk (tie-breaks included) the string-keyed
-// implementation did — keeping the deepest one that is also an ancestor of
-// a. Membership in a's ancestor set is a binary search over the sorted
-// dense ancestor array. It is not memoized: its hot caller, the pairwise
+// LCSDense is LCS over dense ids: a merge-join of the two ascending
+// ancestor sets that keeps the deepest common ancestor and, among equally
+// deep ones, the first in b's BFS visit order (lowest rank) — the
+// tie-break of a scan of b's ancestors in BFS order that keeps only
+// strictly deeper ones. It is not memoized: its hot caller, the pairwise
 // similarity memo, computes each pair once.
 func (n *Network) LCSDense(a, b DenseID) (DenseID, bool) {
-	anc := n.ancSortedD[a]
-	best := DenseID(-1)
-	bestDepth := int32(-1)
-	for _, cur := range n.ancListD[b] {
-		if !containsSorted(anc, cur) {
-			continue
-		}
-		if d := n.depthD[cur]; d > bestDepth {
-			best, bestDepth = cur, d
+	x, y := n.ancestors.row(a), n.ancestors.row(b)
+	rank := n.ancRank[n.ancestors.off[b]:n.ancestors.off[b+1]]
+	best, bestDepth, bestRank := DenseID(-1), int32(-1), int32(0)
+	for i, j := 0, 0; i < len(x) && j < len(y); {
+		switch c := x[i]; {
+		case c < y[j]:
+			i++
+		case c > y[j]:
+			j++
+		default:
+			if d := n.depthD[c]; d > bestDepth || d == bestDepth && rank[j] < bestRank {
+				best, bestDepth, bestRank = c, d, rank[j]
+			}
+			i++
+			j++
 		}
 	}
-	if bestDepth < 0 {
-		return -1, false
-	}
-	return best, true
+	return best, bestDepth >= 0
 }
 
-// containsSorted reports whether x occurs in the ascending slice s.
-// Ancestor lists are taxonomy-depth sized, so a branch-light binary search
-// beats both map lookups and linear scans.
-func containsSorted(s []int32, x int32) bool {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s) && s[lo] == x
+// ragged stores one read-only int32 row per concept back to back: row d
+// is data[off[d]:off[d+1]].
+type ragged struct {
+	off  []int
+	data []int32
 }
+
+func (r *ragged) row(d DenseID) []int32 { return r.data[r.off[d]:r.off[d+1]:r.off[d+1]] }
 
 // Vocab implementation (sphere.Vocab): the network's label universe is its
 // lemma set, sorted lexicographically, so dense label order coincides with

@@ -103,7 +103,7 @@ func (c *Concept) Label() string {
 //
 // Alongside the string-keyed API the Network carries a dense integer
 // representation (see index.go): every derived quantity the scoring hot
-// path reads — depth, information content, adjacency, ancestor lists,
+// path reads — depth, information content, adjacency, ancestor sets,
 // expanded glosses, sense lists — is stored in flat arrays indexed by
 // dense concept id, and the label universe (all lemmas, sorted) maps
 // labels to dense vector dimensions. The string-keyed methods delegate
@@ -120,12 +120,11 @@ type Network struct {
 
 	// Dense representation, indexed by the position of each concept in the
 	// immutable insertion order. Built once in Build; never mutated.
-	index     *ConceptIndex
-	depthD    []int32       // hypernym depth; roots have depth 1
-	cumFreqD  []float64     // own freq + all hyponym descendants
-	icD       []float64     // precomputed -log(cumFreq/totalFreq)
-	edgesD    [][]DenseEdge // integer adjacency mirroring edges
-	glossTokD [][]string    // tokenized gloss cache
+	index    *ConceptIndex
+	depthD   []int32       // hypernym depth; roots have depth 1
+	cumFreqD []float64     // own freq + all hyponym descendants
+	icD      []float64     // precomputed -log(cumFreq/totalFreq)
+	edgesD   [][]DenseEdge // integer adjacency mirroring edges
 
 	// Label universe: every distinct lemma, sorted lexicographically, so
 	// dense label ids preserve string order. labelOfD maps each concept to
@@ -134,16 +133,20 @@ type Network struct {
 	labelID  map[string]int32
 	labelOfD []int32
 
-	// Hot-path precomputations, all derived at Build time from the immutable
-	// edge set: per-concept ancestor visit lists (BFS order, exactly the
-	// walk LCS historically did) plus sorted copies for O(log d) membership
-	// feed LCS without re-walking the hypernym DAG per call, and expanded
-	// glosses feed the gloss-overlap measure without re-concatenating
-	// neighbor glosses per pair. The network is immutable after Build, so
-	// these never invalidate.
-	ancListD   [][]int32  // BFS-from-concept visit order over hypernyms
-	ancSortedD [][]int32  // same contents, ascending (binary-search membership)
-	expGlossD  [][]string // own + direct-neighbor gloss tokens
+	// Similarity precomputations, all derived at Build time from the
+	// immutable network. Gloss tokens are interned to int32 ids
+	// (glossVocab maps them back). A concept's expanded gloss is its own
+	// tokens (the first glossOwn[d]) followed by each direct neighbor's in
+	// edge order; glossSet holds its distinct ids, ascending. ancestors
+	// holds the concept and all its transitive hypernyms, ascending, and
+	// ancRank, on the same offsets, each one's rank in BFS visit order
+	// from the concept — the LCS tie-break.
+	glossVocab []string
+	glossOwn   []int32
+	expGloss   ragged
+	glossSet   ragged
+	ancestors  ragged
+	ancRank    []int32
 
 	// sensesL maps each label id to its dense senses, frequency order.
 	sensesL [][]DenseID
@@ -245,98 +248,36 @@ func (n *Network) maxIC() float64 {
 // LCS returns the lowest common subsumer of a and b in the hypernym
 // hierarchy (the deepest shared ancestor, where a concept is an ancestor of
 // itself) and true, or "" and false when the two concepts share no ancestor.
-// Known pairs take the dense walk (LCSDense); ids outside the network fall
-// back to a string walk.
+// Ties between equally deep ancestors go to the first in b's BFS visit
+// order (see LCSDense).
 func (n *Network) LCS(a, b ConceptID) (ConceptID, bool) {
 	da, oka := n.index.Dense(a)
 	db, okb := n.index.Dense(b)
-	if oka && okb {
-		d, ok := n.LCSDense(da, db)
-		if !ok {
-			return "", false
+	if !oka || !okb {
+		// An id outside the network has no hypernyms: it subsumes only
+		// itself.
+		if a == b {
+			return a, true
 		}
-		return n.index.ids[d], true
-	}
-	return n.lcsComputeSlow(a, b)
-}
-
-// lcsComputeSlow handles ConceptIDs that are not part of the network: it
-// scans b's ancestors in BFS visit order (the same walk the dense path
-// reproduces, tie-breaks included) and keeps the deepest one that is also
-// an ancestor of a.
-func (n *Network) lcsComputeSlow(a, b ConceptID) (ConceptID, bool) {
-	anc := ancestorSetOf(n.ancestorList(a))
-	list := n.ancestorList(b)
-	var best ConceptID
-	bestDepth := -1
-	for _, cur := range list {
-		if _, ok := anc[cur]; ok {
-			if d := n.Depth(cur); d > bestDepth {
-				best, bestDepth = cur, d
-			}
-		}
-	}
-	if bestDepth < 0 {
 		return "", false
 	}
-	return best, true
-}
-
-// ancestorList returns a and all its transitive hypernyms in BFS visit
-// order (dedup on first visit), matching the walk LCS historically did.
-func (n *Network) ancestorList(a ConceptID) []ConceptID {
-	var out []ConceptID
-	seen := map[ConceptID]struct{}{}
-	queue := []ConceptID{a}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if _, dup := seen[cur]; dup {
-			continue
-		}
-		seen[cur] = struct{}{}
-		out = append(out, cur)
-		queue = append(queue, n.Hypernyms(cur)...)
+	d, ok := n.LCSDense(da, db)
+	if !ok {
+		return "", false
 	}
-	return out
-}
-
-func ancestorSetOf(list []ConceptID) map[ConceptID]struct{} {
-	out := make(map[ConceptID]struct{}, len(list))
-	for _, id := range list {
-		out[id] = struct{}{}
-	}
-	return out
+	return n.index.ids[d], true
 }
 
 // GlossTokens returns the tokenized, stop-word-free gloss of the concept,
-// cached at build time for the gloss-overlap measure.
+// or nil when the concept is unknown.
 func (n *Network) GlossTokens(id ConceptID) []string {
-	if d, ok := n.index.Dense(id); ok {
-		return n.glossTokD[d]
+	d, ok := n.index.Dense(id)
+	if !ok || n.glossOwn[d] == 0 {
+		return nil
 	}
-	return nil
-}
-
-// ExpandedGlossTokens returns the concept's gloss tokens concatenated with
-// those of its direct neighbors over all relation kinds — the "extended"
-// gloss of the Banerjee-Pedersen overlap measure — precomputed at Build
-// time. Callers must treat the returned slice as read-only.
-func (n *Network) ExpandedGlossTokens(id ConceptID) []string {
-	if d, ok := n.index.Dense(id); ok {
-		return n.expGlossD[d]
-	}
-	return nil
-}
-
-// expandGlossDense assembles the extended gloss from the per-concept gloss
-// caches, in edge order (deterministic: edges are fixed at Build).
-func (n *Network) expandGlossDense(d DenseID) []string {
-	own := n.glossTokD[d]
-	out := make([]string, 0, len(own)*3)
-	out = append(out, own...)
-	for _, e := range n.edgesD[d] {
-		out = append(out, n.glossTokD[e.To]...)
+	out := make([]string, n.glossOwn[d])
+	for i, t := range n.expGloss.row(d)[:len(out)] {
+		out[i] = n.glossVocab[t]
 	}
 	return out
 }

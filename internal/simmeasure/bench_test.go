@@ -1,6 +1,7 @@
 package simmeasure
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/semnet"
@@ -42,13 +43,43 @@ func BenchmarkGloss(b *testing.B) {
 	}
 }
 
-func BenchmarkCombinedCold(b *testing.B) {
-	net := wordnet.Default()
+// missPairs returns a fixed seeded sample of dense pairs of the generated
+// 5k lexicon, the Sim misses of the cold-lexicon benchmark.
+func missPairs(tb testing.TB) (*Measure, [][2]semnet.DenseID) {
+	tb.Helper()
+	net := generated5k(tb)
+	rng := rand.New(rand.NewSource(3))
+	pairs := make([][2]semnet.DenseID, 1024)
+	for i := range pairs {
+		pairs[i] = [2]semnet.DenseID{semnet.DenseID(rng.Intn(net.Len())), semnet.DenseID(rng.Intn(net.Len()))}
+	}
+	return New(net, EqualWeights()), pairs
+}
+
+// BenchmarkSimMiss measures the Sim miss kernel (LCS, edge, node and gloss
+// measures of one pair) without the memo.
+func BenchmarkSimMiss(b *testing.B) {
+	m, pairs := missPairs(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := New(net, EqualWeights()) // fresh cache each iteration
-		p := benchPairs[i%len(benchPairs)]
-		m.Sim(p[0], p[1])
+		p := pairs[i%len(pairs)]
+		m.SimDirectDense(p[0], p[1])
+	}
+}
+
+// TestSimMissAllocationFree pins that the miss kernel does not allocate:
+// LCS is a merge-join of precomputed ancestor sets and the gloss overlap
+// runs on interned ids in stack buffers.
+func TestSimMissAllocationFree(t *testing.T) {
+	m, pairs := missPairs(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, p := range pairs {
+			m.SimDirectDense(p[0], p[1])
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Sim miss sweep allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -92,19 +92,10 @@ func (m *Measure) Weights() Weights { return m.weights }
 func (m *Measure) Network() *semnet.Network { return m.net }
 
 // Sim returns the combined similarity Sim(c1, c2, S̄N) in [0, 1]
-// (Definition 9). Identical concepts score 1. Sim is symmetric.
+// (Definition 9). Identical concepts score 1, ids outside the network 0.
+// Sim is symmetric.
 func (m *Measure) Sim(c1, c2 semnet.ConceptID) float64 {
-	if c1 == c2 {
-		return 1
-	}
-	d1, ok1 := m.net.Dense(c1)
-	d2, ok2 := m.net.Dense(c2)
-	if !ok1 || !ok2 {
-		// Ids outside the network cannot collide with dense keys; compute
-		// uncached (they score 0 on every component measure anyway).
-		return m.simDirectSlow(c1, c2)
-	}
-	return m.SimDense(d1, d2)
+	return atEdge(m.net, c1, c2, m.SimDense)
 }
 
 // SimDense is Sim over dense ids — the scoring core's entry point. The
@@ -132,22 +123,11 @@ func (m *Measure) SimDense(d1, d2 semnet.DenseID) float64 {
 // evaluates the pair in canonical order, exactly as Sim caches it, so
 // Sim(a, b) == SimDirect(a, b) == SimDirect(b, a) bit for bit.
 func (m *Measure) SimDirect(c1, c2 semnet.ConceptID) float64 {
-	if c1 == c2 {
-		return 1
-	}
-	d1, ok1 := m.net.Dense(c1)
-	d2, ok2 := m.net.Dense(c2)
-	if !ok1 || !ok2 {
-		return m.simDirectSlow(c1, c2)
-	}
-	if d2 < d1 {
-		d1, d2 = d2, d1
-	}
-	return m.simComputeDense(d1, d2)
+	return atEdge(m.net, c1, c2, m.SimDirectDense)
 }
 
 // SimDirectDense is SimDirect over dense ids (the bypass path of the
-// dense scoring core).
+// dense scoring core). It does not allocate.
 func (m *Measure) SimDirectDense(d1, d2 semnet.DenseID) float64 {
 	if d1 == d2 {
 		return 1
@@ -158,30 +138,28 @@ func (m *Measure) SimDirectDense(d1, d2 semnet.DenseID) float64 {
 	return m.simComputeDense(d1, d2)
 }
 
+// atEdge evaluates a dense measure at the string API edge: identical
+// concepts score 1, and ids outside the network 0 (they share no ancestor
+// and have no gloss, so every component measure scores them 0).
+func atEdge(net *semnet.Network, c1, c2 semnet.ConceptID, f func(d1, d2 semnet.DenseID) float64) float64 {
+	if c1 == c2 {
+		return 1
+	}
+	d1, ok1 := net.Dense(c1)
+	d2, ok2 := net.Dense(c2)
+	if !ok1 || !ok2 {
+		return 0
+	}
+	return f(d1, d2)
+}
+
 // simComputeDense evaluates the weighted combination for a canonical
 // (dense-ascending) pair. The edge and node measures share one LCS walk.
 func (m *Measure) simComputeDense(d1, d2 semnet.DenseID) float64 {
 	lcs, ok := m.net.LCSDense(d1, d2)
-	v := m.weights.Edge*m.edgeDense(d1, d2, lcs, ok) +
-		m.weights.Node*m.nodeICDense(d1, d2, lcs, ok) +
-		m.weights.Gloss*m.glossDense(d1, d2)
-	if v < 0 {
-		v = 0
-	} else if v > 1 {
-		v = 1
-	}
-	return v
-}
-
-// simDirectSlow handles ConceptIDs outside the network's index through the
-// string-keyed component measures, canonicalized by string order.
-func (m *Measure) simDirectSlow(c1, c2 semnet.ConceptID) float64 {
-	if c2 < c1 {
-		c1, c2 = c2, c1
-	}
-	v := m.weights.Edge*Edge(m.net, c1, c2) +
-		m.weights.Node*NodeIC(m.net, c1, c2) +
-		m.weights.Gloss*Gloss(m.net, c1, c2)
+	v := m.weights.Edge*edgeDense(m.net, d1, d2, lcs, ok) +
+		m.weights.Node*nodeICDense(m.net, d1, d2, lcs, ok) +
+		m.weights.Gloss*glossDense(m.net, d1, d2)
 	if v < 0 {
 		v = 0
 	} else if v > 1 {
@@ -191,27 +169,27 @@ func (m *Measure) simDirectSlow(c1, c2 semnet.ConceptID) float64 {
 }
 
 // edgeDense is Edge over dense ids, given their LCS.
-func (m *Measure) edgeDense(c1, c2, lcs semnet.DenseID, ok bool) float64 {
+func edgeDense(net *semnet.Network, c1, c2, lcs semnet.DenseID, ok bool) float64 {
 	if !ok {
 		return 0
 	}
-	d1, d2 := m.net.DepthDense(c1), m.net.DepthDense(c2)
+	d1, d2 := net.DepthDense(c1), net.DepthDense(c2)
 	if d1+d2 == 0 {
 		return 0
 	}
-	return 2 * float64(m.net.DepthDense(lcs)) / float64(d1+d2)
+	return 2 * float64(net.DepthDense(lcs)) / float64(d1+d2)
 }
 
 // nodeICDense is NodeIC over dense ids, given their LCS.
-func (m *Measure) nodeICDense(c1, c2, lcs semnet.DenseID, ok bool) float64 {
+func nodeICDense(net *semnet.Network, c1, c2, lcs semnet.DenseID, ok bool) float64 {
 	if !ok {
 		return 0
 	}
-	ic1, ic2 := m.net.ICDense(c1), m.net.ICDense(c2)
+	ic1, ic2 := net.ICDense(c1), net.ICDense(c2)
 	if ic1+ic2 <= 0 {
 		return 0
 	}
-	v := 2 * m.net.ICDense(lcs) / (ic1 + ic2)
+	v := 2 * net.ICDense(lcs) / (ic1 + ic2)
 	if v < 0 {
 		return 0
 	}
@@ -222,13 +200,10 @@ func (m *Measure) nodeICDense(c1, c2, lcs semnet.DenseID, ok bool) float64 {
 }
 
 // glossDense is Gloss over dense ids.
-func (m *Measure) glossDense(c1, c2 semnet.DenseID) float64 {
-	g1 := m.net.ExpandedGlossTokensDense(c1)
-	g2 := m.net.ExpandedGlossTokensDense(c2)
-	if len(g1) == 0 || len(g2) == 0 {
-		return 0
-	}
-	raw := phraseOverlap(g1, g2)
+func glossDense(net *semnet.Network, c1, c2 semnet.DenseID) float64 {
+	a, sa := net.GlossDense(c1)
+	b, sb := net.GlossDense(c2)
+	raw := phraseOverlap(a, b, sa, sb)
 	return raw / (raw + glossSaturation)
 }
 
@@ -243,18 +218,10 @@ func (m *Measure) Stats() (hits, misses uint64) { return m.memo.Stats() }
 // where depth counts hypernym links from the hierarchy root (roots have
 // depth 1). Concepts without a common subsumer score 0.
 func Edge(net *semnet.Network, c1, c2 semnet.ConceptID) float64 {
-	if c1 == c2 {
-		return 1
-	}
-	lcs, ok := net.LCS(c1, c2)
-	if !ok {
-		return 0
-	}
-	d1, d2 := net.Depth(c1), net.Depth(c2)
-	if d1+d2 == 0 {
-		return 0
-	}
-	return 2 * float64(net.Depth(lcs)) / float64(d1+d2)
+	return atEdge(net, c1, c2, func(d1, d2 semnet.DenseID) float64 {
+		lcs, ok := net.LCSDense(d1, d2)
+		return edgeDense(net, d1, d2, lcs, ok)
+	})
 }
 
 // NodeIC is Lin's node-based measure:
@@ -264,25 +231,10 @@ func Edge(net *semnet.Network, c1, c2 semnet.ConceptID) float64 {
 // using the cumulative-frequency information content of the weighted
 // network. Concepts without a common subsumer score 0.
 func NodeIC(net *semnet.Network, c1, c2 semnet.ConceptID) float64 {
-	if c1 == c2 {
-		return 1
-	}
-	lcs, ok := net.LCS(c1, c2)
-	if !ok {
-		return 0
-	}
-	ic1, ic2 := net.IC(c1), net.IC(c2)
-	if ic1+ic2 <= 0 {
-		return 0
-	}
-	v := 2 * net.IC(lcs) / (ic1 + ic2)
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
+	return atEdge(net, c1, c2, func(d1, d2 semnet.DenseID) float64 {
+		lcs, ok := net.LCSDense(d1, d2)
+		return nodeICDense(net, d1, d2, lcs, ok)
+	})
 }
 
 // glossSaturation controls how quickly the raw extended-gloss-overlap score
@@ -299,63 +251,94 @@ const glossSaturation = 8.0
 // words scores n²), and the raw score is squashed into [0, 1) by
 // raw/(raw+K).
 func Gloss(net *semnet.Network, c1, c2 semnet.ConceptID) float64 {
-	if c1 == c2 {
-		return 1
-	}
-	g1 := net.ExpandedGlossTokens(c1)
-	g2 := net.ExpandedGlossTokens(c2)
-	if len(g1) == 0 || len(g2) == 0 {
-		return 0
-	}
-	raw := phraseOverlap(g1, g2)
-	return raw / (raw + glossSaturation)
+	return atEdge(net, c1, c2, func(d1, d2 semnet.DenseID) float64 { return glossDense(net, d1, d2) })
 }
 
-// phraseOverlap computes the extended-gloss-overlap raw score: repeatedly
-// find the longest common consecutive word sequence between a and b, add
-// its squared length, remove it from consideration, until no overlap of
-// length >= 1 remains. A dynamic-programming pass finds the longest common
-// substring of tokens.
-func phraseOverlap(a, b []string) float64 {
-	// Work on copies with removable positions marked by "".
-	ac := append([]string(nil), a...)
-	bc := append([]string(nil), b...)
+// phraseOverlap computes the extended-gloss-overlap raw score of the token
+// sequences a and b, given their ascending distinct token sets sa and sb:
+// repeatedly take the longest common run of consecutive tokens, add its
+// squared length and remove it from both sequences, until no common token
+// is left. Among equally long runs the first by end cell, row-major over
+// a × b, is taken — the order of the classic longest-common-substring DP,
+// which decides what later runs remain. Only tokens of both sets can be
+// part of a run, so disjoint sets score 0 after one merge.
+func phraseOverlap(a, b, sa, sb []int32) float64 {
+	var commonBuf [64]int32
+	common := commonBuf[:0]
+	for i, j := 0, 0; i < len(sa) && j < len(sb); {
+		switch {
+		case sa[i] < sb[j]:
+			i++
+		case sa[i] > sb[j]:
+			j++
+		default:
+			common = append(common, sa[i])
+			i++
+			j++
+		}
+	}
+	if len(common) == 0 {
+		return 0
+	}
+	return overlapRuns(a, b, common)
+}
+
+// overlapRuns is the greedy run search of phraseOverlap for sequences that
+// share the tokens common. The DP runs on the grid of shared positions
+// alone: ta and tb hold their tokens, pa and pb their positions, and
+// removed positions get token sentinels that match nothing. Typical
+// glosses fit the stack buffers, and then it does not allocate.
+func overlapRuns(a, b, common []int32) float64 {
+	var paBuf, taBuf, pbBuf, tbBuf [128]int32
+	pa, ta := sharedPositions(paBuf[:0], taBuf[:0], a, common)
+	pb, tb := sharedPositions(pbBuf[:0], tbBuf[:0], b, common)
+	var rowBuf [256]int32
+	rows := rowBuf[:]
+	if 2*len(tb) > len(rows) {
+		rows = make([]int32, 2*len(tb))
+	}
+	prev, cur := rows[:len(tb)], rows[len(tb):2*len(tb)]
 	var score float64
 	for {
-		ai, bi, l := longestCommonRun(ac, bc)
+		bx, by, l := 0, 0, int32(0)
+		for x, t := range ta {
+			for y, u := range tb {
+				if t != u {
+					cur[y] = 0
+					continue
+				}
+				run := int32(1)
+				if x > 0 && y > 0 && pa[x-1]+1 == pa[x] && pb[y-1]+1 == pb[y] {
+					run = prev[y-1] + 1
+				}
+				cur[y] = run
+				if run > l {
+					bx, by, l = x, y, run
+				}
+			}
+			prev, cur = cur, prev
+		}
 		if l == 0 {
 			return score
 		}
 		score += float64(l * l)
-		for k := 0; k < l; k++ {
-			ac[ai+k] = "\x00a" // sentinel: never matches
-			bc[bi+k] = "\x00b"
+		for k := 0; k < int(l); k++ {
+			ta[bx-k], tb[by-k] = -1, -2
 		}
 	}
 }
 
-// longestCommonRun returns the start indexes and length of the longest
-// common consecutive run of equal tokens in a and b (0 when none).
-func longestCommonRun(a, b []string) (ai, bi, l int) {
-	if len(a) == 0 || len(b) == 0 {
-		return 0, 0, 0
-	}
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for i := 1; i <= len(a); i++ {
-		for j := 1; j <= len(b); j++ {
-			if a[i-1] == b[j-1] {
-				cur[j] = prev[j-1] + 1
-				if cur[j] > l {
-					l = cur[j]
-					ai = i - l
-					bi = j - l
-				}
-			} else {
-				cur[j] = 0
+// sharedPositions appends to pos and tok the positions and tokens of seq
+// that occur in common. Shared sets are a few tokens, so a linear scan
+// beats a binary search.
+func sharedPositions(pos, tok, seq, common []int32) ([]int32, []int32) {
+	for i, t := range seq {
+		for _, c := range common {
+			if c == t {
+				pos, tok = append(pos, int32(i)), append(tok, t)
+				break
 			}
 		}
-		prev, cur = cur, prev
 	}
-	return ai, bi, l
+	return pos, tok
 }

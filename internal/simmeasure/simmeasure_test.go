@@ -3,6 +3,7 @@ package simmeasure
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -140,24 +141,24 @@ func TestMeasureSingleComponents(t *testing.T) {
 func TestLongestCommonRun(t *testing.T) {
 	a := []string{"x", "play", "or", "film", "y"}
 	b := []string{"play", "or", "film"}
-	ai, bi, l := longestCommonRun(a, b)
+	ai, bi, l := oracleLongestCommonRun(a, b)
 	if l != 3 || ai != 1 || bi != 0 {
-		t.Errorf("longestCommonRun = (%d, %d, %d)", ai, bi, l)
+		t.Errorf("oracleLongestCommonRun = (%d, %d, %d)", ai, bi, l)
 	}
-	if _, _, l := longestCommonRun(nil, b); l != 0 {
+	if _, _, l := oracleLongestCommonRun(nil, b); l != 0 {
 		t.Error("empty input should yield 0")
 	}
 }
 
 func TestPhraseOverlapQuadratic(t *testing.T) {
 	// One 2-run scores 4; two isolated words score 2.
-	if got := phraseOverlap([]string{"a", "b"}, []string{"a", "b"}); got != 4 {
+	if got := kernelOverlap([]string{"a", "b"}, []string{"a", "b"}); got != 4 {
 		t.Errorf("run of 2 = %f, want 4", got)
 	}
-	if got := phraseOverlap([]string{"a", "x", "b"}, []string{"a", "y", "b"}); got != 2 {
+	if got := kernelOverlap([]string{"a", "x", "b"}, []string{"a", "y", "b"}); got != 2 {
 		t.Errorf("two singles = %f, want 2", got)
 	}
-	if got := phraseOverlap([]string{"a"}, []string{"b"}); got != 0 {
+	if got := kernelOverlap([]string{"a"}, []string{"b"}); got != 0 {
 		t.Errorf("disjoint = %f, want 0", got)
 	}
 }
@@ -324,6 +325,47 @@ func TestGlossMatchesStringOracleOnGenerated(t *testing.T) {
 	}
 }
 
+// TestGlossMatchesStringOracleOnLongGlosses compares Gloss bit for bit
+// with the string oracle on every pair of the mini-WordNet concepts with
+// the longest expanded glosses (up to hundreds of tokens), so shared
+// position lists outgrow the kernel's stack buffers.
+func TestGlossMatchesStringOracleOnLongGlosses(t *testing.T) {
+	net := wordnet.Default()
+	ids := append([]semnet.ConceptID(nil), net.Concepts()...)
+	gloss := map[semnet.ConceptID][]string{}
+	for _, c := range ids {
+		gloss[c] = oracleExpandedGloss(net, c)
+	}
+	slices.SortStableFunc(ids, func(a, b semnet.ConceptID) int { return len(gloss[b]) - len(gloss[a]) })
+	ids = ids[:16]
+	large := 0
+	for _, a := range ids {
+		for _, b := range ids {
+			got, want := Gloss(net, a, b), oracleGloss(net, a, b)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("Gloss(%s, %s) = %.17g, oracle %.17g", a, b, got, want)
+			}
+			if sharedPositionCount(gloss[a], gloss[b]) > 128 {
+				large++
+			}
+		}
+	}
+	if large == 0 {
+		t.Fatal("no pair shares more than 128 positions: the heap fallback is not exercised")
+	}
+}
+
+// sharedPositionCount counts the positions of a whose token occurs in b.
+func sharedPositionCount(a, b []string) int {
+	n := 0
+	for _, tok := range a {
+		if slices.Contains(b, tok) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestPhraseOverlapMatchesStringOracle compares the production kernel bit
 // for bit with the string oracle on short sequences over a three-letter
 // alphabet: repeated tokens, overlapping and competing equal-length runs,
@@ -361,5 +403,24 @@ func TestPhraseOverlapMatchesStringOracle(t *testing.T) {
 	}
 }
 
-// kernelOverlap runs the production overlap kernel on string sequences.
-func kernelOverlap(a, b []string) float64 { return phraseOverlap(a, b) }
+// kernelOverlap runs the production overlap kernel on string sequences,
+// interned to ids with their sorted distinct sets.
+func kernelOverlap(a, b []string) float64 {
+	ids := map[string]int32{}
+	intern := func(toks []string) (seq, set []int32) {
+		for _, tok := range toks {
+			id, ok := ids[tok]
+			if !ok {
+				id = int32(len(ids))
+				ids[tok] = id
+			}
+			seq = append(seq, id)
+		}
+		set = slices.Clone(seq)
+		slices.Sort(set)
+		return seq, slices.Compact(set)
+	}
+	sa, setA := intern(a)
+	sb, setB := intern(b)
+	return phraseOverlap(sa, sb, setA, setB)
+}
