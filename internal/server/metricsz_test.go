@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -51,6 +52,18 @@ func counterValue(t *testing.T, fams map[string]*metrics.Family, name string) fl
 	return fam.Samples[0].Value
 }
 
+// drainBody reads a streamed response to its terminal line and closes it.
+// The handler counts each line after writing it, so a scrape is only
+// ordered after the counts once the whole stream has been read; closing
+// early can also shed the stream mid-write.
+func drainBody(t *testing.T, resp *http.Response) {
+	t.Helper()
+	defer resp.Body.Close()
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestMetricszGolden drives real traffic through every endpoint — unary,
 // batch, a resumed stream — then asserts the exposition is parseable,
 // histogram-valid, and reflects the traffic in the counters.
@@ -75,7 +88,7 @@ func TestMetricszGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	drainBody(t, resp)
 
 	// A subtree-mode stream: three subtrees, the middle one guard-tripped
 	// by a tight per-subtree byte budget (emitted=2, failed=1, tripped=1).
@@ -86,7 +99,7 @@ func TestMetricszGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	drainBody(t, resp)
 
 	fams := scrapeMetrics(t, ts)
 
