@@ -357,19 +357,12 @@ func (n *Network) buildGlosses(concepts map[ConceptID]*Concept) {
 		own.off[d+1] = len(own.data)
 	}
 	n.glossOwn = make([]int32, N)
-	total := 0
-	for d := range n.glossOwn {
-		n.glossOwn[d] = int32(own.off[d+1] - own.off[d])
-		total += int(n.glossOwn[d])
-		for _, e := range n.edgesD[d] {
-			total += own.off[e.To+1] - own.off[e.To]
-		}
-	}
-	exp := ragged{off: make([]int, N+1), data: make([]int32, 0, total)}
+	exp := ragged{off: make([]int, N+1)}
 	set := ragged{off: make([]int, N+1)}
 	seen := make([]int32, len(n.glossVocab))
 	for d := 0; d < N; d++ {
 		start, setStart := len(exp.data), len(set.data)
+		n.glossOwn[d] = int32(own.off[d+1] - own.off[d])
 		exp.data = append(exp.data, own.row(DenseID(d))...)
 		for _, e := range n.edgesD[d] {
 			exp.data = append(exp.data, own.row(e.To)...)
@@ -383,7 +376,7 @@ func (n *Network) buildGlosses(concepts map[ConceptID]*Concept) {
 		slices.Sort(set.data[setStart:])
 		exp.off[d+1], set.off[d+1] = len(exp.data), len(set.data)
 	}
-	set.data = slices.Clone(set.data)
+	exp.data, set.data = slices.Clone(exp.data), slices.Clone(set.data)
 	n.expGloss, n.glossSet = exp, set
 }
 
