@@ -114,12 +114,19 @@ func TestSnapshotPinningUnderConcurrentSwaps(t *testing.T) {
 			if i%2 == 1 {
 				net, tag = netA, "v1"
 			}
+			// Record the identity before publishing it: a run can finish
+			// on the new snapshot before ReloadNetwork returns here.
+			// Epochs count successful swaps from 1.
+			epoch := uint64(i) + 2
+			epochTag.Store(epoch, epochIdentity{tag: tag, version: tag})
 			info, err := fw.ReloadNetwork(context.Background(), net, tag, "pinning-test", ReloadOptions{})
 			if err != nil {
 				t.Errorf("swap %d: %v", i, err)
 				return
 			}
-			epochTag.Store(info.Epoch, epochIdentity{tag: tag, version: info.Version})
+			if info.Epoch != epoch || info.Version != tag {
+				t.Errorf("swap %d published epoch %d version %q, want %d %q", i, info.Epoch, info.Version, epoch, tag)
+			}
 		}
 	}()
 
