@@ -339,20 +339,30 @@ func (n *Network) buildAncestors() {
 
 // buildGlosses interns each concept's own gloss tokens, then stores every
 // expanded gloss (own tokens, then each neighbor's in edge order) as ids
-// together with its ascending set of distinct ids.
+// together with its ascending set of distinct ids. Each distinct gloss
+// word is filtered and stemmed once.
 func (n *Network) buildGlosses(concepts map[ConceptID]*Concept) {
 	N := len(n.order)
-	intern := make(map[string]int32)
+	word := make(map[string]int32, N) // gloss word -> token id, -1 when dropped
+	token := make(map[string]int32, N)
 	own := ragged{off: make([]int, N+1)}
 	for d, id := range n.order {
-		for _, tok := range tokenizeGloss(concepts[id].Gloss) {
-			t, ok := intern[tok]
+		for _, w := range glossWords(concepts[id].Gloss) {
+			t, ok := word[w]
 			if !ok {
-				t = int32(len(n.glossVocab))
-				intern[tok] = t
-				n.glossVocab = append(n.glossVocab, tok)
+				t = -1
+				if tok, keep := glossToken(w); keep {
+					if t, ok = token[tok]; !ok {
+						t = int32(len(n.glossVocab))
+						token[tok] = t
+						n.glossVocab = append(n.glossVocab, tok)
+					}
+				}
+				word[w] = t
 			}
-			own.data = append(own.data, t)
+			if t >= 0 {
+				own.data = append(own.data, t)
+			}
 		}
 		own.off[d+1] = len(own.data)
 	}
@@ -380,23 +390,23 @@ func (n *Network) buildGlosses(concepts map[ConceptID]*Concept) {
 	n.expGloss, n.glossSet = exp, set
 }
 
-// tokenizeGloss lower-cases, splits, and stems a gloss into content words
-// for the gloss-overlap measure, dropping one-letter tokens and common stop
-// words. Stemming makes morphological variants ("actor"/"actors",
-// "recorded"/"recordings") overlap, as the Banerjee-Pedersen measure
-// assumes of its preprocessed glosses.
-func tokenizeGloss(gloss string) []string {
-	fields := strings.FieldsFunc(strings.ToLower(gloss), func(r rune) bool {
+// glossWords lower-cases a gloss and splits it into alphanumeric words.
+func glossWords(gloss string) []string {
+	return strings.FieldsFunc(strings.ToLower(gloss), func(r rune) bool {
 		return !(r >= 'a' && r <= 'z') && !(r >= '0' && r <= '9')
 	})
-	var out []string
-	for _, f := range fields {
-		if len(f) <= 1 || isGlossStop(f) {
-			continue
-		}
-		out = append(out, lingproc.Stem(f))
+}
+
+// glossToken maps a gloss word to its content token for the gloss-overlap
+// measure: one-letter words and common stop words are dropped, the rest
+// stemmed. Stemming makes morphological variants ("actor"/"actors",
+// "recorded"/"recordings") overlap, as the Banerjee-Pedersen measure
+// assumes of its preprocessed glosses.
+func glossToken(w string) (string, bool) {
+	if len(w) <= 1 || isGlossStop(w) {
+		return "", false
 	}
-	return out
+	return lingproc.Stem(w), true
 }
 
 var glossStops = func() map[string]struct{} {
