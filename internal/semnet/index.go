@@ -112,10 +112,9 @@ func (n *Network) SensesLabel(lemma string) (int32, []DenseID) {
 
 // LCSDense is LCS over dense ids: a merge-join of the two ascending
 // ancestor sets that keeps the deepest common ancestor and, among equally
-// deep ones, the first in b's BFS visit order (lowest rank) — the
-// tie-break of a scan of b's ancestors in BFS order that keeps only
-// strictly deeper ones. It is not memoized: its hot caller, the pairwise
-// similarity memo, computes each pair once.
+// deep ones, the first in b's BFS visit order (lowest rank in b's set).
+// It is not memoized: its hot caller, the pairwise similarity memo,
+// computes each pair once.
 func (n *Network) LCSDense(a, b DenseID) (DenseID, bool) {
 	x, y := n.ancestors.row(a), n.ancestors.row(b)
 	rank := n.ancRank[n.ancestors.off[b]:n.ancestors.off[b+1]]
