@@ -353,9 +353,8 @@ func (n *Network) buildGlosses(concepts map[ConceptID]*Concept) {
 				t = -1
 				if tok, keep := glossToken(w); keep {
 					if t, ok = token[tok]; !ok {
-						t = int32(len(n.glossVocab))
+						t = int32(len(token))
 						token[tok] = t
-						n.glossVocab = append(n.glossVocab, tok)
 					}
 				}
 				word[w] = t
@@ -366,13 +365,11 @@ func (n *Network) buildGlosses(concepts map[ConceptID]*Concept) {
 		}
 		own.off[d+1] = len(own.data)
 	}
-	n.glossOwn = make([]int32, N)
 	exp := ragged{off: make([]int, N+1)}
 	set := ragged{off: make([]int, N+1)}
-	seen := make([]int32, len(n.glossVocab))
+	seen := make([]int32, len(token))
 	for d := 0; d < N; d++ {
 		start, setStart := len(exp.data), len(set.data)
-		n.glossOwn[d] = int32(own.off[d+1] - own.off[d])
 		exp.data = append(exp.data, own.row(DenseID(d))...)
 		for _, e := range n.edgesD[d] {
 			exp.data = append(exp.data, own.row(e.To)...)

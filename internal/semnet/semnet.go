@@ -134,19 +134,16 @@ type Network struct {
 	labelOfD []int32
 
 	// Similarity precomputations, all derived at Build time from the
-	// immutable network. Gloss tokens are interned to int32 ids
-	// (glossVocab maps them back). A concept's expanded gloss is its own
-	// tokens (the first glossOwn[d]) followed by each direct neighbor's in
-	// edge order; glossSet holds its distinct ids, ascending. ancestors
-	// holds the concept and all its transitive hypernyms, ascending, and
-	// ancRank, on the same offsets, each one's rank in BFS visit order
-	// from the concept — the LCS tie-break.
-	glossVocab []string
-	glossOwn   []int32
-	expGloss   ragged
-	glossSet   ragged
-	ancestors  ragged
-	ancRank    []int32
+	// immutable network. Gloss tokens are interned to int32 ids. A
+	// concept's expanded gloss is its own tokens followed by each direct
+	// neighbor's in edge order; glossSet holds its distinct ids,
+	// ascending. ancestors holds the concept and all its transitive
+	// hypernyms, ascending, and ancRank, on the same offsets, each one's
+	// rank in BFS visit order from the concept — the LCS tie-break.
+	expGloss  ragged
+	glossSet  ragged
+	ancestors ragged
+	ancRank   []int32
 
 	// sensesL maps each label id to its dense senses, frequency order.
 	sensesL [][]DenseID
@@ -268,16 +265,19 @@ func (n *Network) LCS(a, b ConceptID) (ConceptID, bool) {
 	return n.index.ids[d], true
 }
 
-// GlossTokens returns the tokenized, stop-word-free gloss of the concept,
-// or nil when the concept is unknown.
+// GlossTokens returns the tokenized, stop-word-free gloss of the concept
+// — the tokens the gloss-overlap measure interns — or nil when the
+// concept is unknown.
 func (n *Network) GlossTokens(id ConceptID) []string {
-	d, ok := n.index.Dense(id)
-	if !ok || n.glossOwn[d] == 0 {
+	c := n.concepts[id]
+	if c == nil {
 		return nil
 	}
-	out := make([]string, n.glossOwn[d])
-	for i, t := range n.expGloss.row(d)[:len(out)] {
-		out[i] = n.glossVocab[t]
+	var out []string
+	for _, w := range glossWords(c.Gloss) {
+		if tok, keep := glossToken(w); keep {
+			out = append(out, tok)
+		}
 	}
 	return out
 }
